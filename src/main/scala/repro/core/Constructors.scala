@@ -195,7 +195,9 @@ object Constructors {
 
   /** γ(ΔŪ □ base, (C) ∘ names): the schema cast of the application schema as
     * a new attribute C, glued to the base result — for ops whose row count is
-    * a column count of an input (tra, rqr, dsv, vsv, cpd, sol).
+    * a column count of an input (tra, rqr, dsv, vsv, cpd, sol). With
+    * `cValues = names = Seq(op)` and a 1×1 base it is the scalar relation
+    * (C, op) of det and rnk.
     */
   def withSchemaCast(spark: SparkSession, cValues: Seq[String], base: ColMatrix,
                      appNames: Seq[String]): DataFrame = {
@@ -207,15 +209,6 @@ object Constructors {
       rowOf(Array[Any](UTF8String.fromString(cValues(i))), boxedRow(base, i))
     }
     build(spark, schema, rows)
-  }
-
-  /** γ(..., (C, op)): scalar result relation for det and rnk. */
-  def scalarRelation(spark: SparkSession, opName: String, value: Double): DataFrame = {
-    val schema = StructType(Seq(
-      StructField("C", StringType, nullable = false),
-      StructField(opName, DoubleType, nullable = false)))
-    build(spark, schema,
-      IndexedSeq(new GenericInternalRow(Array[Any](UTF8String.fromString(opName), value))))
   }
 
   // -------------------------------------------------------------------

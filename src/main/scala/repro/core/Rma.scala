@@ -37,232 +37,156 @@ object RmaConfig {
   * argument and returns a relation (DataFrame) — the algebra is closed. The
   * result carries the base result of the corresponding matrix operation plus
   * contextual information (row and column origins) per the op's shape type.
+  * The operations themselves are the entries of the catalogue [[RmaOp]];
+  * [[apply]] evaluates any of them.
   *
   * Unary ops: `op(r, U)`; binary ops: `op(r, U, s, V)` — the SQL surface
   * `SELECT * FROM OP(r BY U, s BY V)` is provided by [[RmaSql]].
   */
 object Rma {
   import Constructors._
+  import Dim._
 
-  private def spark(df: DataFrame) = df.sparkSession
-
-  private def split(df: DataFrame, u: Seq[String], cfg: RmaConfig): SplitRelation =
-    collectSplit(df, u, cfg.validateKeys, cfg.assumeSorted)
-
-  // -----------------------------------------------------------------
-  // Shape type (r1,c1): inv, evc, chf, qqr — schema U ∘ Ū.
-  // -----------------------------------------------------------------
+  /** Evaluate `op` on its arguments, each a relation with its order schema.
+    *
+    * Element-wise ops run distributed when `cfg.distributedElementwise` is
+    * set. Every other call splits each argument into order part and
+    * application matrix, checks the op's preconditions, runs the kernel and
+    * builds the result relation from the shape type alone (paper Table 3):
+    * rows R1 keep r's order part, r* both order parts, C1 the schema cast of
+    * r's application schema, 1 the op name; columns C1/C* are r's
+    * application names, C2 s's, R1/R2 the column cast of r or s, 1 the op
+    * name.
+    */
+  def apply(op: RmaOp, cfg: RmaConfig, args: (DataFrame, Seq[String])*): DataFrame = {
+    require(args.length == op.arity,
+      s"${op.name} takes ${if (op.arity == 1) "one argument" else "two arguments"}, got ${args.length}")
+    op.combine match {
+      case Some(combine) if cfg.distributedElementwise =>
+        val Seq((r, u), (s, v)) = args
+        elementwiseDistributed(r, u, s, v, combine, cfg.validateKeys, cfg.assumeSorted)
+      case _ =>
+        val sp = args.map { case (df, order) =>
+          collectSplit(df, order, cfg.validateKeys, cfg.assumeSorted)
+        }.toIndexedSeq
+        op.checks.foreach(_(op.name, sp))
+        val base = op.base(cfg.backend, sp.map(_.matrix))
+        val names = op.shape.cols match {
+          case C1 | CStar => sp(0).appCols
+          case C2         => sp(1).appCols
+          case R1         => sp(0).columnCast
+          case R2         => sp(1).columnCast
+          case One        => Seq(op.name)
+          case RStar      => throw new IllegalStateException(s"${op.name}: r* is not a column dimension")
+        }
+        val spark = args.head._1.sparkSession
+        op.shape.rows match {
+          case R1    => withOrderPart(spark, sp(0).orderFields, sp(0).orderRows, base, names)
+          case RStar => withTwoOrderParts(spark, sp(0).orderFields, sp(0).orderRows,
+                          sp(1).orderFields, sp(1).orderRows, base, names)
+          case C1    => withSchemaCast(spark, sp(0).appCols, base, names)
+          case One   => withSchemaCast(spark, Seq(op.name), base, names)
+          case d     => throw new IllegalStateException(s"${op.name}: $d is not a row dimension")
+        }
+    }
+  }
 
   /** Matrix inversion of the application part (shape (r1,c1)). */
-  def inv(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val sp = split(r, u, cfg)
-    requireSquare("inv", sp)
-    withOrderPart(spark(r), sp.orderFields, sp.orderRows, cfg.backend.inv(sp.matrix), sp.appCols)
-  }
+  def inv(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
+    apply(RmaOp.Inv, cfg, r -> u)
 
   /** Eigenvectors (symmetric application part; shape (r1,c1)). */
-  def evc(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val sp = split(r, u, cfg)
-    requireSquare("evc", sp)
-    withOrderPart(spark(r), sp.orderFields, sp.orderRows, cfg.backend.eig(sp.matrix)._2, sp.appCols)
-  }
+  def evc(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
+    apply(RmaOp.Evc, cfg, r -> u)
 
   /** Cholesky factor R with A = RᵀR (shape (r1,c1)). */
-  def chf(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val sp = split(r, u, cfg)
-    requireSquare("chf", sp)
-    withOrderPart(spark(r), sp.orderFields, sp.orderRows, cfg.backend.chf(sp.matrix), sp.appCols)
-  }
+  def chf(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
+    apply(RmaOp.Chf, cfg, r -> u)
 
   /** Q factor of the QR decomposition (shape (r1,c1)). */
-  def qqr(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val sp = split(r, u, cfg)
-    withOrderPart(spark(r), sp.orderFields, sp.orderRows, cfg.backend.qr(sp.matrix)._1, sp.appCols)
-  }
-
-  // -----------------------------------------------------------------
-  // Shape type (r1,r1): usv — schema U ∘ ∇U.
-  // -----------------------------------------------------------------
+  def qqr(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
+    apply(RmaOp.Qqr, cfg, r -> u)
 
   /** Full left SVD factor (shape (r1,r1)); result columns are named by the
     * sorted key values (column cast ∇U), so |U| must be 1.
     */
-  def usv(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val sp = split(r, u, cfg)
-    withOrderPart(spark(r), sp.orderFields, sp.orderRows, cfg.backend.svdFullU(sp.matrix), sp.columnCast)
-  }
-
-  // -----------------------------------------------------------------
-  // Shape type (r1,1): evl — schema U ∘ (op).
-  // -----------------------------------------------------------------
+  def usv(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
+    apply(RmaOp.Usv, cfg, r -> u)
 
   /** Eigenvalues, descending (symmetric application part; shape (r1,1)). */
-  def evl(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val sp = split(r, u, cfg)
-    requireSquare("evl", sp)
-    val values = ColMatrix.fromVector(cfg.backend.eig(sp.matrix)._1)
-    withOrderPart(spark(r), sp.orderFields, sp.orderRows, values, Seq("evl"))
-  }
-
-  // -----------------------------------------------------------------
-  // Shape type (c1,r1): tra — schema (C) ∘ ∇U.
-  // -----------------------------------------------------------------
+  def evl(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
+    apply(RmaOp.Evl, cfg, r -> u)
 
   /** Transpose (shape (c1,r1)): rows are the application attributes (new
     * attribute C), columns are named by the sorted key values (∇U, |U|=1).
     */
-  def tra(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val sp = split(r, u, cfg)
-    withSchemaCast(spark(r), sp.appCols, cfg.backend.tra(sp.matrix), sp.columnCast)
-  }
-
-  // -----------------------------------------------------------------
-  // Shape type (c1,c1): rqr, dsv, vsv — schema (C) ∘ Ū.
-  // -----------------------------------------------------------------
+  def tra(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
+    apply(RmaOp.Tra, cfg, r -> u)
 
   /** R factor of the QR decomposition (shape (c1,c1)). */
-  def rqr(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val sp = split(r, u, cfg)
-    withSchemaCast(spark(r), sp.appCols, cfg.backend.qr(sp.matrix)._2, sp.appCols)
-  }
+  def rqr(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
+    apply(RmaOp.Rqr, cfg, r -> u)
 
   /** Diagonal matrix of singular values, descending (shape (c1,c1)). */
-  def dsv(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val sp = split(r, u, cfg)
-    val d = ColMatrix.diag(cfg.backend.svd(sp.matrix)._2)
-    withSchemaCast(spark(r), sp.appCols, d, sp.appCols)
-  }
+  def dsv(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
+    apply(RmaOp.Dsv, cfg, r -> u)
 
   /** Right singular vectors V (shape (c1,c1) — see DESIGN.md §3 on the
     * paper's Table 1 typo for vsv).
     */
-  def vsv(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val sp = split(r, u, cfg)
-    withSchemaCast(spark(r), sp.appCols, cfg.backend.svd(sp.matrix)._3, sp.appCols)
-  }
-
-  // -----------------------------------------------------------------
-  // Shape type (1,1): det, rnk — schema (C, op), a single tuple.
-  // -----------------------------------------------------------------
+  def vsv(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
+    apply(RmaOp.Vsv, cfg, r -> u)
 
   /** Determinant (shape (1,1)). */
-  def det(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val sp = split(r, u, cfg)
-    requireSquare("det", sp)
-    scalarRelation(spark(r), "det", cfg.backend.det(sp.matrix))
-  }
+  def det(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
+    apply(RmaOp.Det, cfg, r -> u)
 
   /** Numerical rank (shape (1,1)). */
-  def rnk(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val sp = split(r, u, cfg)
-    scalarRelation(spark(r), "rnk", cfg.backend.rnk(sp.matrix).toDouble)
-  }
-
-  // -----------------------------------------------------------------
-  // Binary operations.
-  // -----------------------------------------------------------------
+  def rnk(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
+    apply(RmaOp.Rnk, cfg, r -> u)
 
   /** Matrix multiplication (shape (r1,c2)): schema U ∘ V̄. The application
     * part of `r` must have as many columns as `s` has rows.
     */
   def mmu(r: DataFrame, u: Seq[String], s: DataFrame, v: Seq[String],
-          cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val spR = split(r, u, cfg)
-    val spS = split(s, v, cfg)
-    require(spR.matrix.nCols == spS.matrix.nRows,
-      s"mmu: |application schema of r| = ${spR.matrix.nCols} must equal |s| = ${spS.matrix.nRows}")
-    val base = cfg.backend.mmu(spR.matrix, spS.matrix)
-    withOrderPart(spark(r), spR.orderFields, spR.orderRows, base, spS.appCols)
-  }
+          cfg: RmaConfig = RmaConfig.default): DataFrame =
+    apply(RmaOp.Mmu, cfg, r -> u, s -> v)
 
   /** Outer product a·bᵀ (shape (r1,r2)): schema U ∘ ∇V, so |V| must be 1. */
   def opd(r: DataFrame, u: Seq[String], s: DataFrame, v: Seq[String],
-          cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val spR = split(r, u, cfg)
-    val spS = split(s, v, cfg)
-    require(spR.matrix.nCols == spS.matrix.nCols,
-      s"opd: application schemas must have equal width (${spR.matrix.nCols} vs ${spS.matrix.nCols})")
-    val base = cfg.backend.opd(spR.matrix, spS.matrix)
-    withOrderPart(spark(r), spR.orderFields, spR.orderRows, base, spS.columnCast)
-  }
+          cfg: RmaConfig = RmaConfig.default): DataFrame =
+    apply(RmaOp.Opd, cfg, r -> u, s -> v)
 
   /** Cross product aᵀ·b (shape (c1,c2)): schema (C) ∘ V̄. */
   def cpd(r: DataFrame, u: Seq[String], s: DataFrame, v: Seq[String],
-          cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val spR = split(r, u, cfg)
-    val spS = split(s, v, cfg)
-    require(spR.matrix.nRows == spS.matrix.nRows,
-      s"cpd: row counts differ (${spR.matrix.nRows} vs ${spS.matrix.nRows})")
-    val base = cfg.backend.cpd(spR.matrix, spS.matrix)
-    withSchemaCast(spark(r), spR.appCols, base, spS.appCols)
-  }
+          cfg: RmaConfig = RmaConfig.default): DataFrame =
+    apply(RmaOp.Cpd, cfg, r -> u, s -> v)
 
   /** Solve a·x = b, least squares when rectangular (shape (c1,c2)):
     * schema (C) ∘ V̄.
     */
   def sol(r: DataFrame, u: Seq[String], s: DataFrame, v: Seq[String],
-          cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val spR = split(r, u, cfg)
-    val spS = split(s, v, cfg)
-    require(spR.matrix.nRows == spS.matrix.nRows,
-      s"sol: row counts differ (${spR.matrix.nRows} vs ${spS.matrix.nRows})")
-    val base = cfg.backend.sol(spR.matrix, spS.matrix)
-    withSchemaCast(spark(r), spR.appCols, base, spS.appCols)
-  }
+          cfg: RmaConfig = RmaConfig.default): DataFrame =
+    apply(RmaOp.Sol, cfg, r -> u, s -> v)
 
   /** Element-wise addition (shape (r*,c*)): schema U ∘ V ∘ Ū. */
   def add(r: DataFrame, u: Seq[String], s: DataFrame, v: Seq[String],
           cfg: RmaConfig = RmaConfig.default): DataFrame =
-    elementwise("add", r, u, s, v, cfg)
+    apply(RmaOp.Add, cfg, r -> u, s -> v)
 
   /** Element-wise subtraction (shape (r*,c*)). */
   def sub(r: DataFrame, u: Seq[String], s: DataFrame, v: Seq[String],
           cfg: RmaConfig = RmaConfig.default): DataFrame =
-    elementwise("sub", r, u, s, v, cfg)
+    apply(RmaOp.Sub, cfg, r -> u, s -> v)
 
   /** Element-wise multiplication (shape (r*,c*)). */
   def emu(r: DataFrame, u: Seq[String], s: DataFrame, v: Seq[String],
           cfg: RmaConfig = RmaConfig.default): DataFrame =
-    elementwise("emu", r, u, s, v, cfg)
-
-  private def elementwise(op: String, r: DataFrame, u: Seq[String],
-                          s: DataFrame, v: Seq[String], cfg: RmaConfig): DataFrame = {
-    if (cfg.distributedElementwise) {
-      val combine: (org.apache.spark.sql.Column, org.apache.spark.sql.Column) => org.apache.spark.sql.Column =
-        op match {
-          case "add" => _ + _
-          case "sub" => _ - _
-          case "emu" => _ * _
-        }
-      elementwiseDistributed(r, u, s, v, combine, cfg.validateKeys, cfg.assumeSorted)
-    } else {
-      val spR = split(r, u, cfg)
-      val spS = split(s, v, cfg)
-      require(spR.orderCols.intersect(spS.orderCols).isEmpty,
-        s"order schemas must not overlap (paper §4.2): ${spR.orderCols.intersect(spS.orderCols)}")
-      require(spR.matrix.nRows == spS.matrix.nRows,
-        s"$op: row counts differ (${spR.matrix.nRows} vs ${spS.matrix.nRows})")
-      require(spR.matrix.nCols == spS.matrix.nCols,
-        s"$op: application schemas are not union compatible " +
-          s"(${spR.appCols} vs ${spS.appCols})")
-      val base = op match {
-        case "add" => cfg.backend.add(spR.matrix, spS.matrix)
-        case "sub" => cfg.backend.sub(spR.matrix, spS.matrix)
-        case "emu" => cfg.backend.emu(spR.matrix, spS.matrix)
-      }
-      withTwoOrderParts(spark(r), spR.orderFields, spR.orderRows,
-        spS.orderFields, spS.orderRows, base, spR.appCols)
-    }
-  }
+    apply(RmaOp.Emu, cfg, r -> u, s -> v)
 
   /** Reducibility helper (paper Definition 6.1): the application part of `df`
     * sorted by `order` as a matrix. Used by matrix-consistency tests.
     */
   def reduce(df: DataFrame, order: Seq[String]): ColMatrix =
     Constructors.reduce(df, order)
-
-  private def requireSquare(op: String, sp: SplitRelation): Unit =
-    require(sp.matrix.nRows == sp.matrix.nCols,
-      s"$op: application part must be square, got ${sp.matrix.nRows}x${sp.matrix.nCols} " +
-        s"(order schema ${sp.orderCols}, application schema ${sp.appCols})")
 }

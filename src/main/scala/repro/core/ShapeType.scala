@@ -24,31 +24,10 @@ final case class ShapeType(rows: Dim, cols: Dim)
 object ShapeType {
   import Dim._
 
-  /** Paper Table 1, with the `vsv` correction discussed in DESIGN.md §3
-    * (V is the j1 x j1 right-singular-vector matrix, shape (c1,c1) like dsv;
-    * the paper's Figure 14 measurements confirm the small result shape).
+  /** Paper Table 1 by op name, read off the catalogue [[RmaOp]]. Lazy
+    * because the catalogue's entries are built from this companion.
     */
-  val ofOp: Map[String, ShapeType] = Map(
-    "usv" -> ShapeType(R1, R1),
-    "opd" -> ShapeType(R1, R2),
-    "inv" -> ShapeType(R1, C1),
-    "evc" -> ShapeType(R1, C1),
-    "chf" -> ShapeType(R1, C1),
-    "qqr" -> ShapeType(R1, C1),
-    "mmu" -> ShapeType(R1, C2),
-    "evl" -> ShapeType(R1, One),
-    "tra" -> ShapeType(C1, R1),
-    "rqr" -> ShapeType(C1, C1),
-    "dsv" -> ShapeType(C1, C1),
-    "vsv" -> ShapeType(C1, C1),
-    "cpd" -> ShapeType(C1, C2),
-    "sol" -> ShapeType(C1, C2),
-    "emu" -> ShapeType(RStar, CStar),
-    "add" -> ShapeType(RStar, CStar),
-    "sub" -> ShapeType(RStar, CStar),
-    "det" -> ShapeType(One, One),
-    "rnk" -> ShapeType(One, One),
-  )
+  lazy val ofOp: Map[String, ShapeType] = RmaOp.all.map(op => op.name -> op.shape).toMap
 
   /** Ops whose result keeps the row origin of an input (row count preserved). */
   def preservesRowContext(op: String): Boolean = ofOp(op).rows match {
