@@ -24,7 +24,7 @@ object ArrayDb {
     */
   def toCoord(df: DataFrame, order: Seq[String]): DataFrame = {
     val (u, app) = Constructors.resolveSchemas(df, order)
-    val ranked = Constructors.withGlobalRank(df, u, assumeSorted = false)
+    val ranked = Constructors.withGlobalRank(df, u)
     ranked.select(
       col(Constructors.IdxCol).as("i"),
       posexplode(array(app.map(c => col(c).cast(DoubleType)): _*)).as(Seq("j", "v")))

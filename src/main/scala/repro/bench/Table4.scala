@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 
 import repro.SynthData
 import repro.core.{Rma, RmaConfig}
-import repro.matrix.ColumnarBackend
+import repro.matrix.Kernels
 
 /** Paper Table 4: `add` over wide relations in RMA+.
   *
@@ -21,7 +21,7 @@ object Table4 {
 
   /** Run the sweep; returns (attrs, seconds) pairs. */
   def run(spark: SparkSession, attrs: Seq[Int] = paperAttrs, rows: Int = 1000): Seq[(Int, Double)] = {
-    val cfg = RmaConfig(backend = ColumnarBackend, distributedElementwise = false,
+    val cfg = RmaConfig(backend = Kernels, distributedElementwise = false,
       validateKeys = false)
     attrs.map { k =>
       val r = SynthData.wideRelationRdd(spark, rows, k, seed = 1, keyName = "k")

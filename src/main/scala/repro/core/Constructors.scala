@@ -79,16 +79,13 @@ object Constructors {
   }
 
   /** Matrix constructor μ̄_U(r) together with the order part μ_U(r):
-    * sort by U, split, and collect columnar. The `assumeSorted` flag is the
-    * paper's §8.1 optimisation that skips the sort for pre-sorted input.
+    * sort by U, split, and collect columnar.
     */
   def collectSplit(df: DataFrame, order: Seq[String],
-                   validateKeys: Boolean = true,
-                   assumeSorted: Boolean = false): SplitRelation = {
+                   validateKeys: Boolean = true): SplitRelation = {
     val (u, app) = resolveSchemas(df, order)
     val projected = df.select((u.map(col) ++ app.map(c => col(c).cast(DoubleType))): _*)
-    val sorted = if (assumeSorted) projected else projected.sort(u.map(col): _*)
-    val rows = InternalDF.collectInternal(sorted)
+    val rows = InternalDF.collectInternal(projected.sort(u.map(col): _*))
     val n = rows.length
     val k = app.length
     val uTypes = u.map(c => df.schema(c).dataType)
@@ -228,8 +225,8 @@ object Constructors {
     * single-partition window. Stays on InternalRow — the analog of MonetDB's
     * cheap OID alignment (leftfetchjoin).
     */
-  def withGlobalRank(df: DataFrame, order: Seq[String], assumeSorted: Boolean): DataFrame = {
-    val sorted = if (assumeSorted) df else df.sort(order.map(col): _*)
+  def withGlobalRank(df: DataFrame, order: Seq[String]): DataFrame = {
+    val sorted = df.sort(order.map(col): _*)
     val schema = sorted.schema.add(IdxCol, LongType, nullable = false)
     val rdd = InternalDF.toInternalRdd(sorted).zipWithIndex().map { case (r, i) =>
       // copy() detaches from the operator's reused row buffer
@@ -243,7 +240,7 @@ object Constructors {
     */
   def elementwiseDistributed(r: DataFrame, u: Seq[String], s: DataFrame, v: Seq[String],
                              combine: (Column, Column) => Column,
-                             validateKeys: Boolean, assumeSorted: Boolean): DataFrame = {
+                             validateKeys: Boolean): DataFrame = {
     val (ru, rApp) = resolveSchemas(r, u)
     val (sv, sApp) = resolveSchemas(s, v)
     require(rApp.length == sApp.length,
@@ -251,12 +248,12 @@ object Constructors {
     require(ru.intersect(sv).isEmpty,
       s"order schemas must not overlap (paper §4.2): ${ru.intersect(sv)}")
     if (validateKeys) {
-      requireKey(r, ru); requireKey(s, sv)
-      require(r.count() == s.count(), "element-wise op requires equal row counts")
+      val (n, m) = (requireKey(r, ru), requireKey(s, sv))
+      require(n == m, s"row counts differ ($n vs $m)")
     }
-    val rIdx = withGlobalRank(r, ru, assumeSorted).select(
+    val rIdx = withGlobalRank(r, ru).select(
       (col(IdxCol) +: (ru ++ rApp).map(c => col(c).as(s"__r_$c"))): _*)
-    val sIdx = withGlobalRank(s, sv, assumeSorted).select(
+    val sIdx = withGlobalRank(s, sv).select(
       (col(IdxCol) +: (sv ++ sApp).map(c => col(c).as(s"__s_$c"))): _*)
     val joined = rIdx.join(sIdx, IdxCol)
     val outCols =
@@ -269,10 +266,12 @@ object Constructors {
     joined.select(outCols: _*)
   }
 
-  private def requireKey(df: DataFrame, cols0: Seq[String]): Unit = {
+  /** Require `cols0` to be a key of `df`; returns the row count. */
+  private def requireKey(df: DataFrame, cols0: Seq[String]): Long = {
     val total = df.count()
     val distinct = df.select(cols0.map(col): _*).distinct().count()
     require(total == distinct,
       s"order schema $cols0 is not a key ($distinct distinct of $total rows)")
+    total
   }
 }

@@ -2,13 +2,13 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 
-import repro.matrix.{BreezeBackend, ColMatrix, ColumnarBackend, MatrixBackend}
+import repro.matrix.{BreezeBackend, ColMatrix, Kernels, MatrixBackend}
 
 /** Execution configuration for relational matrix operations.
   *
   * @param backend physical kernel backend for base results. [[BreezeBackend]]
   *                is the RMA+MKL analog (copy + library call),
-  *                [[ColumnarBackend]] the RMA+BAT analog (no-copy column
+  *                [[Kernels]] the RMA+BAT analog (no-copy column
   *                kernels). Mirrors the paper's policy of choosing per query.
   * @param distributedElementwise run add/sub/emu fully distributed through
   *                Catalyst (sort → global rank → rank join → column
@@ -17,18 +17,15 @@ import repro.matrix.{BreezeBackend, ColMatrix, ColumnarBackend, MatrixBackend}
   * @param validateKeys check that order schemas are keys (paper §4 requires
   *                it; benches may switch the check off, like any DBMS
   *                trusting declared keys).
-  * @param assumeSorted skip sorting — the paper's §8.1 optimisation for
-  *                pre-sorted input.
   */
 final case class RmaConfig(
     backend: MatrixBackend = BreezeBackend,
     distributedElementwise: Boolean = true,
-    validateKeys: Boolean = true,
-    assumeSorted: Boolean = false)
+    validateKeys: Boolean = true)
 
 object RmaConfig {
   val default: RmaConfig = RmaConfig()
-  val bat: RmaConfig = RmaConfig(backend = ColumnarBackend)
+  val bat: RmaConfig = RmaConfig(backend = Kernels)
 }
 
 /** The relational matrix algebra (paper Section 4, Table 2).
@@ -64,11 +61,9 @@ object Rma {
     op.combine match {
       case Some(combine) if cfg.distributedElementwise =>
         val Seq((r, u), (s, v)) = args
-        elementwiseDistributed(r, u, s, v, combine, cfg.validateKeys, cfg.assumeSorted)
+        elementwiseDistributed(r, u, s, v, combine, cfg.validateKeys)
       case _ =>
-        val sp = args.map { case (df, order) =>
-          collectSplit(df, order, cfg.validateKeys, cfg.assumeSorted)
-        }.toIndexedSeq
+        val sp = args.map { case (df, order) => collectSplit(df, order, cfg.validateKeys) }.toIndexedSeq
         op.checks.foreach(_(op.name, sp))
         val base = op.base(cfg.backend, sp.map(_.matrix))
         val names = op.shape.cols match {

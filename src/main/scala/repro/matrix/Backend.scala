@@ -5,15 +5,12 @@ package repro.matrix
   * The relational matrix algebra is defined at the logical level; the base
   * result of an operation may be computed by any backend. The paper ships
   * two: a "no-copy" implementation over BATs and a delegation to MKL. Our
-  * analogs are [[ColumnarBackend]] (from-scratch columnar kernels) and
+  * analogs are [[Kernels]] (from-scratch columnar kernels) and
   * [[BreezeBackend]] (copy to a contiguous dense matrix, call
   * Breeze/netlib-LAPACK). Both produce identical canonical results, which is
   * asserted by the backend-agreement test suite.
   */
 trait MatrixBackend {
-
-  /** Backend name for logs and bench tables. */
-  def name: String
 
   def add(a: ColMatrix, b: ColMatrix): ColMatrix
   def sub(a: ColMatrix, b: ColMatrix): ColMatrix
@@ -40,8 +37,10 @@ trait MatrixBackend {
   /** Thin SVD `(U, sigma, V)`, sigma descending, canonical signs. */
   def svd(a: ColMatrix): (ColMatrix, Array[Double], ColMatrix)
 
-  /** Full square left SVD factor (shape type (r1,r1), op usv). */
-  def svdFullU(a: ColMatrix): ColMatrix
+  /** Full square left SVD factor (shape type (r1,r1), op usv): the thin U
+    * completed the same way on every backend, so `usv` results agree.
+    */
+  final def svdFullU(a: ColMatrix): ColMatrix = Kernels.completeToSquare(svd(a)._1)
 
   /** Symmetric eigen `(values desc, vectors)`, canonical signs. */
   def eig(a: ColMatrix): (Array[Double], ColMatrix)

@@ -1,5 +1,7 @@
 package repro.matrix
 
+import scala.collection.parallel.CollectionConverters._
+
 import breeze.linalg.{DenseMatrix, cholesky, eigSym => beigSym, qr => bqr, svd => bsvd}
 
 /** The "delegate to a specialised library" backend: analog of RMA+MKL.
@@ -12,7 +14,13 @@ import breeze.linalg.{DenseMatrix, cholesky, eigSym => beigSym, qr => bqr, svd =
   * breakdown the paper does.
   */
 object BreezeBackend extends MatrixBackend {
-  val name = "breeze"
+
+  // F2J LAPACK computes all its machine constants (dlamch) on first use
+  // behind one unsynchronised flag, so concurrent first calls (TSQR's
+  // parallel blocks) can leave eps and the scaling constants wrong for the
+  // rest of the JVM. Object initialisation runs on a single thread: after
+  // this call every caller sees the finished constants.
+  dev.ludovic.netlib.lapack.LAPACK.getInstance().dlamch("e")
 
   /** Nanoseconds spent converting ColMatrix <-> DenseMatrix in the most
     * recent operation (driver-side, not thread-safe — bench use only).
@@ -126,7 +134,9 @@ object BreezeBackend extends MatrixBackend {
     * QR the stacked R factors, recombine. This is how the delegation backend
     * "leverages the underlying hardware" like the paper's multi-core MKL —
     * netlib's pure-Java LAPACK is single-threaded, so the blocking supplies
-    * the parallelism. Produces the same canonical (Q, R) as the plain path.
+    * the parallelism. Both parallel phases run as parallel-collection tasks
+    * on Scala's global fork-join pool (nproc threads), shared by all calls.
+    * Produces the same canonical (Q, R) as the plain path.
     */
   private def tsqr(a: ColMatrix, blocks: Int): (ColMatrix, ColMatrix) = {
     val n = a.nRows; val k = a.nCols
@@ -144,50 +154,34 @@ object BreezeBackend extends MatrixBackend {
       convertNanos.addAndGet(System.nanoTime() - t0)
       new DenseMatrix(len, k, data)
     }
-    val pool = java.util.concurrent.Executors.newFixedThreadPool(Threads)
-    try {
-      import scala.jdk.CollectionConverters._
-      val stage1 = pool.invokeAll(bounds.map { case (lo, hi) =>
-        new java.util.concurrent.Callable[(DenseMatrix[Double], DenseMatrix[Double])] {
-          def call() = { val f = bqr.reduced(denseBlock(lo, hi)); (f.q, f.r) }
-        }
-      }.asJava).asScala.map(_.get()).toIndexedSeq
-      // QR of the stacked per-block R factors gives the final R and the
-      // k-x-k combination blocks of Q.
-      val f2 = bqr.reduced(DenseMatrix.vertcat(stage1.map(_._2): _*))
-      val qCols = Array.fill(k)(new Array[Double](n))
-      pool.invokeAll(bounds.indices.map { b =>
-        new java.util.concurrent.Callable[Unit] {
-          def call(): Unit = {
-            val (lo, hi) = bounds(b)
-            val qb = stage1(b)._1 * f2.q(b * k until (b + 1) * k, ::)
-            val t0 = System.nanoTime()
-            val len = hi - lo
-            val d = if (qb.isTranspose) qb.copy else qb
-            var j = 0
-            while (j < k) {
-              System.arraycopy(d.data, d.offset + j * d.majorStride, qCols(j), lo, len)
-              j += 1
-            }
-            convertNanos.addAndGet(System.nanoTime() - t0)
-          }
-        }
-      }.asJava).asScala.foreach(_.get())
-      lastConvertNanos += convertNanos.get()
-      Canon.canonQr(new ColMatrix(qCols, n), fromDense(f2.r))
-    } finally pool.shutdown()
+    val stage1 = bounds.par.map { case (lo, hi) =>
+      val f = bqr.reduced(denseBlock(lo, hi)); (f.q, f.r)
+    }.seq
+    // QR of the stacked per-block R factors gives the final R and the
+    // k-x-k combination blocks of Q.
+    val f2 = bqr.reduced(DenseMatrix.vertcat(stage1.map(_._2): _*))
+    val qCols = Array.fill(k)(new Array[Double](n))
+    bounds.indices.par.foreach { b =>
+      val (lo, hi) = bounds(b)
+      val qb = stage1(b)._1 * f2.q(b * k until (b + 1) * k, ::)
+      val t0 = System.nanoTime()
+      val len = hi - lo
+      val d = if (qb.isTranspose) qb.copy else qb
+      var j = 0
+      while (j < k) {
+        System.arraycopy(d.data, d.offset + j * d.majorStride, qCols(j), lo, len)
+        j += 1
+      }
+      convertNanos.addAndGet(System.nanoTime() - t0)
+    }
+    lastConvertNanos += convertNanos.get()
+    Canon.canonQr(new ColMatrix(qCols, n), fromDense(f2.r))
   }
 
   def svd(a: ColMatrix): (ColMatrix, Array[Double], ColMatrix) = {
     resetTimer()
     val f = bsvd.reduced(toDense(a))
     Canon.canonSvd(fromDense(f.leftVectors), f.singularValues.toArray, fromDense(f.rightVectors.t))
-  }
-
-  def svdFullU(a: ColMatrix): ColMatrix = {
-    // Same completion as the columnar backend so both agree exactly.
-    val (uThin, _, _) = svd(a)
-    Kernels.completeToSquare(uThin)
   }
 
   def eig(a: ColMatrix): (Array[Double], ColMatrix) = {

@@ -38,17 +38,7 @@ final class ColMatrix(val cols: Array[Array[Double]], rows0: Int = -1) {
   def copy(): ColMatrix = new ColMatrix(cols.map(_.clone()), nRows)
 
   /** Matrix transpose as a new ColMatrix. */
-  def transpose: ColMatrix = {
-    val out = Array.fill(nRows)(new Array[Double](nCols))
-    var j = 0
-    while (j < nCols) {
-      val c = cols(j)
-      var i = 0
-      while (i < nRows) { out(i)(j) = c(i); i += 1 }
-      j += 1
-    }
-    new ColMatrix(out, nCols)
-  }
+  def transpose: ColMatrix = new ColMatrix(toRowArrays, nCols)
 
   /** Row-major nested-array view (used when building result relations). */
   def toRowArrays: Array[Array[Double]] = {

@@ -12,11 +12,13 @@ package repro.matrix
   *  - [[qr]] is modified Gram-Schmidt over columns, the paper's BAT baseline
   *    for QR (Gander's report, cited as [12] in the paper).
   *  - [[svd]] is one-sided Jacobi (column-pair rotations — inherently
-  *    columnar), [[eigSym]] is cyclic Jacobi for symmetric matrices.
+  *    columnar), [[eig]] is cyclic Jacobi for symmetric matrices.
   *
-  * All kernels are pure: inputs are never mutated.
+  * As a [[MatrixBackend]] this is the RMA+BAT analog: no conversion to an
+  * external dense format is performed. All kernels are pure: inputs are
+  * never mutated.
   */
-object Kernels {
+object Kernels extends MatrixBackend {
 
   private val Eps = 2.220446049250313e-16 // IEEE-754 double machine epsilon
 
@@ -238,7 +240,7 @@ object Kernels {
   /** Cholesky factorisation of a symmetric positive-definite matrix.
     * Returns upper-triangular `R` such that `a = R^T * R`.
     */
-  def chol(a: ColMatrix): ColMatrix = {
+  def chf(a: ColMatrix): ColMatrix = {
     val n = a.nRows
     require(a.nCols == n, s"chol: matrix must be square, got ${n}x${a.nCols}")
     require(isSymmetric(a), "chol: matrix must be symmetric")
@@ -323,7 +325,7 @@ object Kernels {
     * eigenvalues; each vector's max-|.| component positive). Each rotation
     * touches two rows and two columns — a column-pair operation.
     */
-  def eigSym(a: ColMatrix): (Array[Double], ColMatrix) = {
+  def eig(a: ColMatrix): (Array[Double], ColMatrix) = {
     val n = a.nRows
     require(a.nCols == n, s"eig: matrix must be square, got ${n}x${a.nCols}")
     require(isSymmetric(a), "eig: only symmetric matrices are supported (see DESIGN.md)")
@@ -510,12 +512,6 @@ object Kernels {
     added.toArray
   }
 
-  /** Full (square) left factor of the SVD: thin U completed to n x n. */
-  def svdFullU(a: ColMatrix): ColMatrix = {
-    val (uThin, _, _) = svd(a)
-    completeToSquare(uThin)
-  }
-
   /** Complete a matrix with orthonormal columns to a square orthonormal
     * matrix (deterministic Gram-Schmidt against the standard basis). Shared
     * by both backends so `usv` results are backend-independent.
@@ -531,7 +527,7 @@ object Kernels {
   /** Numerical rank: number of singular values above the standard
     * `max(n,k) * eps * sigma_max` threshold.
     */
-  def rank(a: ColMatrix): Int = {
+  def rnk(a: ColMatrix): Int = {
     if (a.nRows == 0 || a.nCols == 0) return 0
     val (_, s, _) = svd(a)
     val tol = math.max(a.nRows, a.nCols) * Eps * s.foldLeft(0.0)(math.max)
@@ -545,7 +541,7 @@ object Kernels {
   /** Solve `a * x = b` (least squares when `a` is rectangular, like R's
     * `qr.solve`). `b` may have several columns; x is (a.nCols x b.nCols).
     */
-  def solve(a: ColMatrix, b: ColMatrix): ColMatrix = {
+  def sol(a: ColMatrix, b: ColMatrix): ColMatrix = {
     require(a.nRows == b.nRows,
       s"solve: row counts differ (${a.nRows} vs ${b.nRows})")
     val (q, r) = qr(a)

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.functions.col
 
-import repro.matrix.{ColMatrix, ColumnarBackend, Kernels}
+import repro.matrix.{ColMatrix, Kernels}
 
 /** Unary relational matrix operations: schemas, values, and contextual
   * information per paper Table 2.
@@ -10,7 +10,7 @@ import repro.matrix.{ColMatrix, ColumnarBackend, Kernels}
 class RmaUnarySpec extends RmaFixtures {
   import repro.matrix.MatrixTestUtil._
 
-  private val bat = RmaConfig(backend = ColumnarBackend)
+  private val bat = RmaConfig(backend = Kernels)
 
   // ------------------------------------------------------------------ inv
 
@@ -217,12 +217,11 @@ class RmaUnarySpec extends RmaFixtures {
     assertClose(rec, collectMatrix(weather, Seq("T")), 1e-8)
   }
 
-  // ------------------------------------------------------------------ sorting flag
+  // ------------------------------------------------------------------ sorting
 
-  test("assumeSorted skips the sort (pre-sorted input gives same result)") {
+  test("pre-sorted input gives the same result") {
     val sorted = weatherLate.orderBy("T")
-    val cfg = RmaConfig(assumeSorted = true)
-    val a = Rma.inv(sorted, Seq("T"), cfg).collect().map(_.toSeq).toSet
+    val a = Rma.inv(sorted, Seq("T")).collect().map(_.toSeq).toSet
     val b = Rma.inv(weatherLate, Seq("T")).collect().map(_.toSeq).toSet
     assert(a == b)
   }

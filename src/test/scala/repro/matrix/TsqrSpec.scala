@@ -11,7 +11,7 @@ class TsqrSpec extends AnyFunSuite {
   test("tsqr path agrees with the columnar Gram-Schmidt on a tall matrix") {
     val a = rnd(100000, 6, 42, scale = 3.0) // above the 65536-row TSQR cutoff
     val (q1, r1) = BreezeBackend.qr(a)
-    val (q2, r2) = ColumnarBackend.qr(a)
+    val (q2, r2) = Kernels.qr(a)
     assertClose(r1, r2, 1e-7, "R")
     assertClose(q1, q2, 1e-7, "Q")
   }
@@ -29,6 +29,24 @@ class TsqrSpec extends AnyFunSuite {
     val a = rnd(65537, 3, 9)
     val (q, r) = BreezeBackend.qr(a)
     assertClose(Kernels.mmu(q, r), a, 1e-8)
+  }
+
+  test("concurrent tsqr calls on the shared pool match a sequential call exactly") {
+    val a = rnd(70000, 8, 5, scale = 2.0)
+    val (q0, r0) = BreezeBackend.qr(a)
+    val results = new Array[(ColMatrix, ColMatrix)](4)
+    val threads = results.indices.map(t => new Thread(() => results(t) = BreezeBackend.qr(a)))
+    threads.foreach(_.start())
+    threads.foreach(_.join())
+    results.foreach { case (q, r) =>
+      assert(q.maxAbsDiff(q0) == 0.0)
+      assert(r.maxAbsDiff(r0) == 0.0)
+    }
+  }
+
+  test("LAPACK machine epsilon is exact once BreezeBackend has loaded") {
+    BreezeBackend.qr(rnd(10, 2, 1)) // loads the backend and runs LAPACK
+    assert(dev.ludovic.netlib.lapack.LAPACK.getInstance().dlamch("e") == Math.ulp(1.0) / 2)
   }
 
   test("plain path still used for small matrices") {
